@@ -277,7 +277,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     while measured < args.seconds {
         let delta = plan.deltas[d % plan.deltas.len()];
         let t = Instant::now();
-        let (report, _) = log.span("live.delta", d as u64, None, || apply(&mut live, &delta));
+        let report = log.span("live.delta", d as u64, || apply(&mut live, &delta));
         let wall = t.elapsed().as_secs_f64();
         measured += wall;
         out.attempted += 1;
@@ -302,7 +302,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 
         let i = r % plan.reads.len();
         let t = Instant::now();
-        let (result, _) = log.span("service.execute", r as u64, None, || {
+        let result = log.span("service.execute", r as u64, || {
             live.service().execute(&plan.reads[i])
         });
         let wall = t.elapsed().as_secs_f64();
@@ -417,11 +417,11 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scene::Scale;
+    use conn_bench::Scale;
 
     #[test]
     fn same_seed_same_plan() {
-        let city = scene::city(Scale::Smoke, 4);
+        let city = scene::city(Scale::SMOKE, 4);
         let a = plan(&city.obstacles, &city.points, 4);
         let b = plan(&city.obstacles, &city.points, 4);
         assert_eq!(a.deltas, b.deltas);
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn a_corrupted_standing_answer_is_caught() {
-        let city = scene::city(Scale::Smoke, 6);
+        let city = scene::city(Scale::SMOKE, 6);
         let p = plan(&city.obstacles, &city.points, 6);
         let mut live = LiveScene::new(
             city.points.clone(),

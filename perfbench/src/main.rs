@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
 //!     --workload segment-closed|mixed-open|live-churn \
-//!     --seed <n> --seconds <s> --trace <0|1> [--scale paper|smoke]
+//!     --seed <n> --seconds <s> --trace <0|1>
 //! ```
 //!
 //! Drives the system only through `ConnService` + `Query`, `Admission`
@@ -61,7 +61,9 @@ pub struct Args {
     pub seed: u64,
     pub seconds: f64,
     pub trace: bool,
-    pub scale: scene::Scale,
+    /// Paper scale on the command line; the self-tests run at
+    /// `Scale::SMOKE`.
+    pub scale: conn_bench::Scale,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -69,7 +71,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut seed = None;
     let mut seconds = None;
     let mut trace = None;
-    let mut scale = scene::Scale::Paper;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it
@@ -99,10 +100,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     _ => return Err("--trace takes 0 or 1".into()),
                 })
             }
-            "--scale" => {
-                scale = scene::Scale::parse(value)
-                    .ok_or_else(|| format!("--scale takes paper or smoke, got {value}"))?
-            }
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -111,7 +108,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds: seconds.ok_or("--seconds is required")?,
         trace: trace.ok_or("--trace is required")?,
-        scale,
+        scale: conn_bench::Scale::PAPER,
     })
 }
 
@@ -318,9 +315,9 @@ fn record_line(args: &Args, outcome: &Outcome) -> String {
         ("seed".into(), args.seed.to_string()),
         ("seconds".into(), args.seconds.to_string()),
         ("trace".into(), args.trace.to_string()),
-        ("scale".into(), format!("\"{}\"", args.scale.name())),
+        ("scale".into(), args.scale.0.to_string()),
         ("obstacles".into(), args.scale.obstacles().to_string()),
-        ("points".into(), args.scale.points().to_string()),
+        ("points".into(), args.scale.obstacles().to_string()),
         ("nproc".into(), stats::nproc().to_string()),
         ("commit".into(), format!("\"{}\"", stats::commit())),
         ("attempted".into(), outcome.attempted.to_string()),
@@ -371,7 +368,7 @@ fn main() -> ExitCode {
             eprintln!("perfbench: {e}");
             eprintln!(
                 "usage: perfbench --workload segment-closed|mixed-open|live-churn \
-                 --seed <n> --seconds <s> --trace <0|1> [--scale paper|smoke]"
+                 --seed <n> --seconds <s> --trace <0|1>"
             );
             return ExitCode::from(2);
         }
@@ -405,13 +402,14 @@ mod tests {
         .unwrap();
         assert_eq!(a.workload, Workload::MixedOpen);
         assert_eq!((a.seed, a.seconds, a.trace), (7, 10.0, true));
-        assert_eq!(a.scale, scene::Scale::Paper);
+        assert_eq!(a.scale, conn_bench::Scale::PAPER);
         for bad in [
             "--workload nope --seed 1 --seconds 1 --trace 0",
             "--workload live-churn --seed 1 --seconds 1 --trace 2",
             "--workload live-churn --seed 1 --seconds 0 --trace 0",
             "--workload live-churn --seed 1 --seconds 1",
             "--workload live-churn --seed",
+            "--workload live-churn --seed 1 --seconds 1 --trace 0 --scale smoke",
         ] {
             assert!(parse_args(&argv(bad)).is_err(), "{bad}");
         }
@@ -451,7 +449,7 @@ mod tests {
                 seed: 1,
                 seconds,
                 trace: true,
-                scale: scene::Scale::Smoke,
+                scale: conn_bench::Scale::SMOKE,
             };
             let outcome = run(&args).unwrap();
             assert_eq!(outcome.failed, 0, "{workload:?}");

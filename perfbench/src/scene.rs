@@ -11,46 +11,10 @@
 
 use std::time::Instant;
 
+use conn_bench::Scale;
 use conn_core::DataPoint;
-use conn_datasets::{la_like, Combo, PAPER_LA_SIZE};
+use conn_datasets::{la_like, Combo};
 use conn_geom::Rect;
-
-/// Scene size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// The paper's cardinalities.
-    Paper,
-    /// 1/256 of the paper, for the benchmark's own tests.
-    Smoke,
-}
-
-impl Scale {
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "paper" => Some(Scale::Paper),
-            "smoke" => Some(Scale::Smoke),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Paper => "paper",
-            Scale::Smoke => "smoke",
-        }
-    }
-
-    pub fn obstacles(self) -> usize {
-        match self {
-            Scale::Paper => PAPER_LA_SIZE,
-            Scale::Smoke => PAPER_LA_SIZE / 256,
-        }
-    }
-
-    pub fn points(self) -> usize {
-        self.obstacles()
-    }
-}
 
 /// The generated inputs of one run.
 #[derive(Debug, Clone)]
@@ -63,9 +27,12 @@ pub struct City {
 pub const CITY_SEED: u64 = 2009;
 
 /// Generates the city from `seed`; the same seed gives the same city.
+/// These are the generator calls of `conn_bench::Workload::build` with
+/// `Combo::Ul` at |P| = |O|; `Workload::build` itself also bulk-loads the
+/// trees, which here is the timed set-up's own work.
 pub fn city(scale: Scale, seed: u64) -> City {
     let obstacles = la_like(scale.obstacles(), seed);
-    let raw = Combo::Ul.points(scale.points(), seed.wrapping_add(1), &obstacles);
+    let raw = Combo::Ul.points(scale.obstacles(), seed.wrapping_add(1), &obstacles);
     City {
         points: DataPoint::from_points(&raw),
         obstacles,

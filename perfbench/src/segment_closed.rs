@@ -1,11 +1,11 @@
 //! `segment-closed`: the paper's own query, kernel-bound.
 //!
 //! One closed-loop client sends uniform ql = 4.5 % segments — CONN and
-//! COkNN (k = 5) in a 3:1 ratio, from a fixed catalogue in seed order —
-//! plus one 8-leg `Query::trajectory` route at ql = 1 % in every 20
-//! requests, each through
-//! `ConnService::execute`. The serving layers are idle here, so kernel
-//! changes show and service changes should not.
+//! COkNN (k = 5) in a 3:1 ratio — plus one 8-leg `Query::trajectory`
+//! route at ql = 1 % in every 20 requests, each through
+//! `ConnService::execute`, in whole passes over a fixed catalogue. The
+//! serving layers are idle here, so kernel changes show and service
+//! changes should not.
 
 // lint:allow-file(no-wallclock-in-kernels): a benchmark harness; wall time is what it measures
 
@@ -84,18 +84,18 @@ pub fn answer_ok(req: &Request, answer: &Answer) -> bool {
     }
 }
 
-/// Segment requests in the catalogue: about as many as one 25 s run
-/// completes (350–500 on a 2-vCPU host), so a run executes most or all of
-/// them.
-pub const CATALOGUE: usize = 400;
+/// Segment requests in the catalogue. One pass over the catalogue (with
+/// its routes) takes 5–7 s on a 2-vCPU host, so a run makes several.
+pub const CATALOGUE: usize = 100;
 
-/// The request stream. The segment requests come from a fixed catalogue
-/// of [`CATALOGUE`] uniform segments, CONN and COkNN at 3:1, generated
-/// from the city's seed like the city itself: with a fresh draw per seed,
-/// the p95 of the ~500 requests a run completes spread 0.28 across ten
-/// seeds, 0.21 with a 600-request catalogue a run only partly consumes.
-/// The seed orders the catalogue and draws the trajectory routes; the same
-/// seed gives the same stream. The stream cycles when a run outlasts it.
+/// The request stream: a fixed catalogue of [`CATALOGUE`] uniform
+/// segments, CONN and COkNN at 3:1, and one trajectory route after every
+/// 19 segments, all generated from the city's seed like the city itself.
+/// The seed orders the segments and the routes; the same seed gives the
+/// same stream. The stream cycles, and a run ends on a whole pass, so
+/// every run measures the same requests however fast the program is:
+/// with freshly drawn requests per seed, the p95 spread 0.28 across ten
+/// seeds.
 pub struct Stream {
     requests: Vec<Request>,
     next: usize,
@@ -103,26 +103,33 @@ pub struct Stream {
 
 impl Stream {
     pub fn new(obstacles: &[Rect], seed: u64) -> Self {
-        let mut segments: Vec<Request> = query_segments(CATALOGUE, QL, scene::CITY_SEED, obstacles)
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                if i % 4 == 3 {
-                    Request::Coknn(s)
-                } else {
-                    Request::Conn(s)
-                }
-            })
-            .collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-        for i in (1..segments.len()).rev() {
-            segments.swap(i, rng.gen_range(0..=i));
-        }
+        let mut shuffled = |mut v: Vec<Request>| {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.gen_range(0..=i));
+            }
+            v.into_iter()
+        };
+        let mut segments = shuffled(
+            query_segments(CATALOGUE, QL, scene::CITY_SEED, obstacles)
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    if i % 4 == 3 {
+                        Request::Coknn(s)
+                    } else {
+                        Request::Conn(s)
+                    }
+                })
+                .collect(),
+        );
         let n_routes = CATALOGUE / (ROUTE_EVERY - 1);
-        let mut routes = trajectory_routes(n_routes, ROUTE_LEGS, ROUTE_QL, seed, obstacles)
-            .into_iter()
-            .map(Request::Route);
-        let mut segments = segments.into_iter();
+        let mut routes = shuffled(
+            trajectory_routes(n_routes, ROUTE_LEGS, ROUTE_QL, scene::CITY_SEED, obstacles)
+                .into_iter()
+                .map(Request::Route)
+                .collect(),
+        );
         let mut requests = Vec::with_capacity(CATALOGUE + n_routes);
         for i in 1.. {
             let next = if i % ROUTE_EVERY == 0 {
@@ -144,6 +151,16 @@ impl Stream {
         self.next += 1;
         (i as u64, self.requests[i % self.requests.len()].clone())
     }
+
+    /// Whether the stream stands at the end of a whole pass.
+    pub fn at_pass_end(&self) -> bool {
+        self.next.is_multiple_of(self.requests.len())
+    }
+
+    /// Requests in one pass.
+    pub fn pass_len(&self) -> usize {
+        self.requests.len()
+    }
 }
 
 pub fn run(args: &Args) -> Result<Outcome, String> {
@@ -163,11 +180,11 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     let mut samples: Vec<(Request, Answer, u64, u64, u64)> = Vec::new();
     let mut measured = 0.0;
 
-    while measured < args.seconds {
+    while measured < args.seconds || !stream.at_pass_end() {
         let (i, req) = stream.next_request();
         let query = req.query(None);
         let t = Instant::now();
-        let (result, _) = log.span("service.execute", i, None, || service.execute(&query));
+        let result = log.span("service.execute", i, || service.execute(&query));
         let wall = t.elapsed().as_secs_f64();
         measured += wall;
         out.attempted += 1;
@@ -218,6 +235,7 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
     e.peak_rss_mb = peak_rss_mb();
     out.note("setup_samples_s", format!("{setup:?}"));
     out.note("requests", latencies.len());
+    out.note("passes", out.attempted as usize / stream.pass_len());
     out.note("measured_s", measured);
     out.note_pct("p50_ms", p50);
     out.note_pct("p95_ms", p95);
@@ -279,16 +297,20 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scene::Scale;
+    use conn_bench::Scale;
 
     #[test]
     fn same_seed_same_requests() {
-        let city = scene::city(Scale::Smoke, 5);
+        let city = scene::city(Scale::SMOKE, 5);
         let take = |seed| {
             let mut s = Stream::new(&city.obstacles, seed);
-            (0..CATALOGUE)
-                .map(|_| s.next_request().1)
-                .collect::<Vec<_>>()
+            assert!(s.at_pass_end());
+            let pass: Vec<Request> = (0..s.pass_len()).map(|_| s.next_request().1).collect();
+            assert!(s.at_pass_end());
+            // the stream cycles over the same pass
+            assert_eq!(s.next_request().1, pass[0]);
+            assert!(!s.at_pass_end());
+            pass
         };
         let a = take(5);
         assert_eq!(a, take(5));
@@ -297,28 +319,41 @@ mod tests {
         let count = |v: &[Request], f: fn(&Request) -> bool| v.iter().filter(|r| f(r)).count();
         let routes = count(&a, |r| matches!(r, Request::Route(_)));
         let coknn = count(&a, |r| matches!(r, Request::Coknn(_)));
-        assert_eq!(routes, CATALOGUE / ROUTE_EVERY);
-        // CONN : COkNN is 3:1, and another seed reorders the same catalogue
-        let conn = a.len() - routes - coknn;
-        assert!(
-            (conn as f64 / coknn as f64 - 3.0).abs() < 0.25,
-            "{conn}:{coknn}"
-        );
-        let segments = |v: &[Request]| {
-            let mut s: Vec<String> = v
-                .iter()
-                .filter_map(|r| r.segment().map(|s| format!("{s:?}")))
-                .collect();
+        assert_eq!(routes, CATALOGUE / (ROUTE_EVERY - 1));
+        assert_eq!(a.len(), CATALOGUE + routes);
+        // CONN : COkNN is 3:1
+        assert_eq!(a.len() - routes - coknn, 3 * coknn);
+        // another seed reorders the same catalogue
+        let sorted = |v: &[Request]| {
+            let mut s: Vec<String> = v.iter().map(|r| format!("{r:?}")).collect();
             s.sort();
             s
         };
-        let (sa, sb) = (segments(&a), segments(&b));
-        assert!(sa.iter().filter(|s| sb.binary_search(s).is_ok()).count() > sa.len() / 2);
+        assert_eq!(sorted(&a), sorted(&b));
+    }
+
+    #[test]
+    fn a_run_ends_on_a_whole_pass() {
+        let args = Args {
+            workload: crate::Workload::SegmentClosed,
+            seed: 2,
+            seconds: 0.2,
+            trace: false,
+            scale: Scale::SMOKE,
+        };
+        let out = run(&args).unwrap();
+        let city = scene::city(Scale::SMOKE, scene::CITY_SEED);
+        let pass = Stream::new(&city.obstacles, 2).pass_len() as u64;
+        assert!(
+            out.attempted >= pass && out.attempted.is_multiple_of(pass),
+            "{}",
+            out.attempted
+        );
     }
 
     #[test]
     fn a_corrupted_answer_is_caught() {
-        let city = scene::city(Scale::Smoke, 3);
+        let city = scene::city(Scale::SMOKE, 3);
         let service = ConnService::new(Scene::new(city.points.clone(), city.obstacles.clone()));
         let mut stream = Stream::new(&city.obstacles, 3);
         let mut conn = std::iter::from_fn(|| Some(stream.next_request().1))

@@ -1,8 +1,8 @@
 //! In-memory span log of the traced run.
 //!
 //! Spans are recorded by the benchmark around each call it makes into a
-//! layer's public functions: name, start, end, the request they belong to
-//! and the span that caused them. They stay in memory while the run
+//! layer's public functions: name, start, end and the request they belong
+//! to. They stay in memory while the run
 //! measures and are written out once it ends. With tracing off, every
 //! call runs bare.
 
@@ -16,7 +16,6 @@ use std::time::Instant;
 pub struct Span {
     pub name: &'static str,
     pub request: u64,
-    pub parent: Option<usize>,
     pub start_ns: u64,
     pub end_ns: u64,
 }
@@ -39,72 +38,32 @@ impl SpanLog {
         }
     }
 
-    /// Runs `f` inside a span, returning its result and the span's index.
-    pub fn span<R>(
-        &mut self,
-        name: &'static str,
-        request: u64,
-        parent: Option<usize>,
-        f: impl FnOnce() -> R,
-    ) -> (R, Option<usize>) {
+    /// Runs `f` inside a span and returns its result.
+    pub fn span<R>(&mut self, name: &'static str, request: u64, f: impl FnOnce() -> R) -> R {
         if !self.on {
-            return (f(), None);
+            return f();
         }
         let start = Instant::now();
         let out = f();
         let end = Instant::now();
-        (out, Some(self.push(name, request, parent, start, end)))
-    }
-
-    /// Records a span whose endpoints were stamped elsewhere.
-    pub fn push(
-        &mut self,
-        name: &'static str,
-        request: u64,
-        parent: Option<usize>,
-        start: Instant,
-        end: Instant,
-    ) -> usize {
         let ns = |t: Instant| t.saturating_duration_since(self.origin).as_nanos() as u64;
         self.spans.push(Span {
             name,
             request,
-            parent,
             start_ns: ns(start),
             end_ns: ns(end),
         });
-        self.spans.len() - 1
+        out
     }
 
-    /// Appends another thread's spans (parent indices are rebased).
+    /// Appends another thread's spans.
     pub fn merge(&mut self, other: SpanLog) {
-        let base = self.spans.len();
-        self.spans.extend(other.spans.into_iter().map(|mut s| {
-            s.parent = s.parent.map(|p| p + base);
-            s
-        }));
+        self.spans.extend(other.spans);
     }
 
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
         self.spans.len()
-    }
-
-    /// Total self time (ms) of the spans called `name`: each span's
-    /// duration minus the part its child spans cover.
-    pub fn self_ms(&self, name: &str) -> f64 {
-        let mut child_ns = vec![0u64; self.spans.len()];
-        for s in &self.spans {
-            if let Some(p) = s.parent {
-                child_ns[p] += s.end_ns - s.start_ns;
-            }
-        }
-        self.spans
-            .iter()
-            .zip(&child_ns)
-            .filter(|(s, _)| s.name == name)
-            .map(|(s, c)| (s.end_ns - s.start_ns).saturating_sub(*c) as f64 / 1e6)
-            .sum()
     }
 
     /// Writes the spans as JSON lines to `path`, creating its directory.
@@ -114,11 +73,10 @@ impl SpanLog {
         }
         let mut out = String::with_capacity(self.spans.len() * 96);
         for s in &self.spans {
-            let parent = s.parent.map_or("null".to_string(), |p| p.to_string());
             let _ = writeln!(
                 out,
-                "{{\"name\":\"{}\",\"request\":{},\"parent\":{},\"start_ns\":{},\"end_ns\":{}}}",
-                s.name, s.request, parent, s.start_ns, s.end_ns
+                "{{\"name\":\"{}\",\"request\":{},\"start_ns\":{},\"end_ns\":{}}}",
+                s.name, s.request, s.start_ns, s.end_ns
             );
         }
         std::fs::write(path, out)
@@ -135,7 +93,7 @@ pub fn trace_overhead_pct<Q>(log: &mut SpanLog, requests: &[Q], mut call: impl F
             let spanned = (i + pass) % 2 == 0;
             let t = Instant::now();
             if spanned {
-                log.span("calibration", i as u64, None, || call(q));
+                log.span("calibration", i as u64, || call(q));
             } else {
                 call(q);
             }
@@ -161,25 +119,11 @@ mod tests {
     #[test]
     fn off_log_records_nothing() {
         let mut log = SpanLog::new(false, Instant::now());
-        let (v, idx) = log.span("x", 0, None, || 7);
-        assert_eq!((v, idx), (7, None));
+        assert_eq!(log.span("x", 0, || 7), 7);
         assert_eq!(log.len(), 0);
-    }
-
-    #[test]
-    fn self_time_excludes_children_and_merge_rebases() {
-        let origin = Instant::now();
-        let t = |ms: u64| origin + std::time::Duration::from_millis(ms);
-        let mut log = SpanLog::new(true, origin);
-        let parent = log.push("outer", 1, None, t(0), t(10));
-        log.push("inner", 1, Some(parent), t(2), t(6));
-        assert!((log.self_ms("outer") - 6.0).abs() < 1e-9);
-        assert!((log.self_ms("inner") - 4.0).abs() < 1e-9);
-        let mut other = SpanLog::new(true, origin);
-        let p = other.push("outer", 2, None, t(0), t(5));
-        other.push("inner", 2, Some(p), t(1), t(2));
-        log.merge(other);
-        assert_eq!(log.len(), 4);
-        assert!((log.self_ms("outer") - 10.0).abs() < 1e-9);
+        let mut on = SpanLog::new(true, Instant::now());
+        assert_eq!(on.span("x", 0, || 7), 7);
+        log.merge(on);
+        assert_eq!(log.len(), 1);
     }
 }
