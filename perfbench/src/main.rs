@@ -130,7 +130,7 @@ const fn metric(name: &'static str, unit: &'static str, value: f64) -> Metric {
 pub struct EndToEnd {
     pub setup_s: f64,
     pub p50_ms: f64,
-    pub p95_ms: f64,
+    pub p90_ms: f64,
     pub throughput_qps: f64,
     pub goodput_qps: f64,
     pub peak_rss_mb: f64,
@@ -141,7 +141,7 @@ impl EndToEnd {
         vec![
             metric("setup_s", "s", self.setup_s),
             metric("p50_ms", "ms", self.p50_ms),
-            metric("p95_ms", "ms", self.p95_ms),
+            metric("p90_ms", "ms", self.p90_ms),
             metric("throughput_qps", "1/s", self.throughput_qps),
             metric("goodput_qps", "1/s", self.goodput_qps),
             metric("peak_rss_mb", "MB", self.peak_rss_mb),

@@ -40,7 +40,14 @@ pub fn city(scale: Scale, seed: u64) -> City {
 }
 
 /// Set-up repetitions per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 5;
+pub const SETUP_REPS: usize = 9;
+
+/// Of `reps` set-up repetitions, how many run before the run measures and
+/// how many after it ends, once its own instance is dropped: the median
+/// then spans the run's time on a shared host, not only its first seconds.
+pub const fn lead_and_tail(reps: usize) -> (usize, usize) {
+    (reps - reps / 2, reps / 2)
+}
 
 /// Runs the program's set-up `reps` times and returns the last instance
 /// with every repetition's wall time (s). `prep` makes the inputs of one
